@@ -41,7 +41,7 @@ def fmt(p: Pattern) -> str:
 
 def level(p: Pattern) -> int:
     """ℓ(P): the number of deterministic elements (§II)."""
-    return sum(1 for v in p if v != X)
+    return len(p) - p.count(X)
 
 
 def root(d: int) -> Pattern:

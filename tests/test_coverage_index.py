@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import brute
+from repro.core import coverage
 from repro.core import patterns as pt
 from repro.core.coverage import CoverageIndex, Deadline, TimeBudgetExceeded
 from repro.core.patterns import X
@@ -60,10 +61,15 @@ def test_example1_patterns_vs_brute(p):
 @given(rows_strategy())
 @settings(max_examples=60, deadline=None)
 def test_cov_matches_brute_on_random_data(cr):
+    """Both representations agree with Definition 2 on every pattern."""
     cards, rows = cr
-    idx = CoverageIndex.from_rows(rows, cards)
+    lat = CoverageIndex.from_rows(rows, cards)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coverage, "MAX_LATTICE_CELLS", 0)
+        msk = CoverageIndex.from_rows(rows, cards)
+    assert lat.lattice is not None and msk.lattice is None
     for p in pt.all_patterns(cards):
-        assert idx.cov(p) == brute.coverage(rows, p)
+        assert lat.cov(p) == msk.cov(p) == brute.coverage(rows, p)
 
 
 def test_counts_aggregate_duplicates():
@@ -108,6 +114,51 @@ def test_cov_calls_counter():
     idx.cov(pt.parse("0X1"))
     idx.cov(pt.parse("XXX"))
     assert idx.cov_calls == before + 2
+
+
+@pytest.fixture(params=["lattice", "masks"])
+def path(request, monkeypatch):
+    """Run the test on each representation; a zero budget forces masks."""
+    if request.param == "masks":
+        monkeypatch.setattr(coverage, "MAX_LATTICE_CELLS", 0)
+    return request.param
+
+
+def test_representation_follows_cell_budget():
+    # 3^13 = 1,594,323 cells fit in 2^22; 3^14 = 4,782,969 do not.
+    small = CoverageIndex.from_rows([(0,) * 13], [2] * 13)
+    assert small.lattice is not None and small.masks is None
+    assert small.lattice.shape == (3,) * 13
+    big = CoverageIndex.from_rows([(0,) * 14], [2] * 14)
+    assert big.lattice is None and big.masks is not None
+    assert big.cov((0,) * 14) == 1
+
+
+@pytest.mark.parametrize(
+    "p",
+    [(0, X), (0, X, 1, 0), (), (0, 2, X), (X, X, 3), (-2, 0, 0), (0, X, -5)],
+    ids=["short", "long", "empty", "value_eq_card", "value_above_card",
+         "below_X", "far_below_X"],
+)
+def test_cov_rejects_pattern_outside_domain(path, p):
+    idx = CoverageIndex.from_rows(EX1_ROWS, EX1_CARDS)
+    assert (idx.masks is None) == (path == "lattice")
+    with pytest.raises(ValueError, match="not over cards"):
+        idx.cov(p)
+
+
+def test_from_pandas_rejects_nulls():
+    pdf = pd.DataFrame({"a0": [0, 1, 0, 1], "a1": [0, np.nan, 1, 1]})
+    with pytest.raises(ValueError, match=r"attribute 'a1' has 1 NULL values"):
+        CoverageIndex.from_pandas(pdf, ["a0", "a1"], [2, 2])
+
+
+def test_from_spark_rejects_nulls(spark):
+    df = spark.createDataFrame(
+        [(0, 0), (1, None), (0, None), (0, None)], "a0 int, a1 int"
+    )
+    with pytest.raises(ValueError, match=r"attribute 'a1' has 3 NULL values"):
+        CoverageIndex.from_spark(df, ["a0", "a1"], [2, 2])
 
 
 def test_deadline_unlimited_never_raises():

@@ -186,3 +186,20 @@ def test_deepdiver_matches_breaker_medium_instance():
     for tau in (2, 10, 40):
         assert mups_deepdiver(idx, tau) == mups_pattern_breaker(idx, tau)
         assert mups_pattern_combiner(idx, tau) == mups_pattern_breaker(idx, tau)
+
+
+def test_airbnb_pin_cov_calls_and_mups():
+    """The lattice changes the cost of a cov() call, not the number of
+    calls: both top-down algorithms keep the mask-era counts exactly."""
+    from repro import synth_data as sd
+
+    pdf = sd.airbnb_like_pdf(n=100_000, d=10, seed=11)
+    attrs, cards = sd.airbnb_attrs(10), [2] * 10
+    results = []
+    for algo in (mups_deepdiver, mups_pattern_breaker):
+        idx = CoverageIndex.from_pandas(pdf, attrs, cards)
+        assert idx.lattice is not None
+        results.append(algo(idx, 10))
+        assert idx.cov_calls == 48_505
+    assert len(results[0]) == 849
+    assert results[0] == results[1]
